@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -X repro/internal/obs.Version=$(VERSION)
 
-.PHONY: all build test race vet fmt-check bench bench-smoke bench-json chaos crash-smoke obs trace-smoke fuzz-smoke pipeline-smoke refit-smoke cluster-smoke loadbench ci
+.PHONY: all build test race vet fmt-check bench bench-smoke bench-json chaos crash-smoke obs trace-smoke fuzz-smoke pipeline-smoke refit-smoke cluster-smoke perfbench-test loadbench ci
 
 all: build
 
@@ -52,12 +52,12 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzBuildTree$$' -fuzztime=5s ./internal/obs/trace/
 
 # Machine-readable perf baseline, committed as $(BENCH_JSON): the solver
-# engine benches (fit path + correlation sweep), the serving engine's
-# cold/cached/coalesced predict regimes, and the netlist-in model-out
-# pipeline loop, so regressions diff in review.
+# engine benches (fit path, correlation sweep, cross-validation), the
+# serving engine's cold/cached/coalesced predict regimes, and the
+# netlist-in model-out pipeline loop, so regressions diff in review.
 BENCH_JSON ?= BENCH_9.json
 bench-json:
-	@{ $(GO) test -run=NONE -bench='BenchmarkFitPath|BenchmarkCorrelateSweep|BenchmarkRefineWarmVsCold' -benchmem ./internal/core/; \
+	@{ $(GO) test -run=NONE -bench='BenchmarkFitPath|BenchmarkCorrelateSweep|BenchmarkCrossValidate|BenchmarkRefineWarmVsCold' -benchmem ./internal/core/; \
 	   $(GO) test -run=NONE -bench='BenchmarkPredictServed' -benchmem ./internal/server/; \
 	   $(GO) test -run=NONE -bench='BenchmarkPipelineEndToEnd' -benchmem ./internal/pipeline/; } \
 	| awk 'BEGIN{print "["; n=0} \
@@ -126,6 +126,11 @@ cluster-smoke:
 	$(GO) test -race -run 'TestClientFollowsClusterRedirects|TestClientClusterPredictAtLeastAndDelete' ./rsm/
 	$(GO) run ./cmd/rsmload -spawn 3 -duration 2s -conc 4 -rate 20 -models 9 -chaos -baseline=false -out /dev/null
 
+# The repository benchmark's own tests (perfbench/ is a separate module, so
+# `go test ./...` at the root does not reach it). Part of make ci.
+perfbench-test:
+	$(GO) -C perfbench test ./...
+
 # Full load benchmark, committed as BENCH_10.json: single-node baseline,
 # 3-shard closed- and open-loop phases, and the one-shard-kill chaos
 # window with goodput and lost-job accounting. The cpus field records the
@@ -134,4 +139,4 @@ cluster-smoke:
 loadbench:
 	$(GO) run ./cmd/rsmload -spawn 3 -duration 5s -conc 8 -rate 40 -models 12 -chaos -out BENCH_10.json
 
-ci: vet fmt-check build test race chaos crash-smoke obs trace-smoke bench-smoke fuzz-smoke pipeline-smoke refit-smoke cluster-smoke
+ci: vet fmt-check build test race chaos crash-smoke obs trace-smoke bench-smoke fuzz-smoke pipeline-smoke refit-smoke cluster-smoke perfbench-test

@@ -158,11 +158,31 @@ type Design interface {
 	VisitRows(fn func(k int, row []float64))
 }
 
-// SquaredColumnNorms accumulates Σ_k G[k][j]² into dst (allocated when nil)
-// with a single row-streaming pass over the design.
+// SquaredColumnNorms accumulates Σ_k G[k][j]² into dst (allocated when nil).
+// A column-major design, bare or under a row mask, sums each contiguous
+// column; any other design takes a single row-streaming pass. Both sum
+// every column in ascending row order, so the results are bit-identical.
 func SquaredColumnNorms(d Design, dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, d.Cols())
+	}
+	cm, ok := d.(*ColMajor)
+	var keep []bool
+	if m, masked := d.(*MaskedDesign); masked {
+		cm, ok = m.d.(*ColMajor)
+		keep = m.keep
+	}
+	if ok {
+		for j := range dst {
+			s := 0.0
+			for k, v := range cm.ColSlice(j) {
+				if keep == nil || keep[k] {
+					s += v * v
+				}
+			}
+			dst[j] = s
+		}
+		return dst
 	}
 	for j := range dst {
 		dst[j] = 0

@@ -102,16 +102,53 @@ func (c *ColMajor) MulTransVec(dst, x []float64) []float64 {
 // shard unit of the parallel correlation sweep: disjoint column ranges write
 // disjoint dst entries, so workers need no synchronization beyond the final
 // join.
+//
+// Columns are swept four per pass over x (dot4) within each storage block;
+// the columns left over at a block's end, or at hi, run as plain dots. The
+// four accumulators each sum their own column in ascending row order, so
+// every dst[j] is bit-identical to linalg.Dot(ColSlice(j), x) — tiling only
+// replaces one latency-bound add chain with four independent ones.
 func (c *ColMajor) MulTransVecRange(dst, x []float64, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		dst[j] = linalg.Dot(c.ColSlice(j), x)
+	if len(x) != c.rows {
+		panic(fmt.Sprintf("basis: MulTransVecRange input length %d, want %d", len(x), c.rows))
 	}
+	k := c.rows
+	for lo < hi {
+		b := lo / colMajorBlock
+		end := min(hi, (b+1)*colMajorBlock)
+		blk := c.blocks[b]
+		j := lo
+		for ; j+4 <= end; j += 4 {
+			off := (j - b*colMajorBlock) * k
+			dst[j], dst[j+1], dst[j+2], dst[j+3] = dot4(blk[off:off+4*k], x)
+		}
+		for ; j < end; j++ {
+			off := (j - b*colMajorBlock) * k
+			dst[j] = linalg.Dot(blk[off:off+k], x)
+		}
+		lo = end
+	}
+}
+
+// dot4 returns the dot products of x with the four consecutive columns
+// stored in cols (len(cols) == 4·len(x)), each summed in ascending row
+// order exactly like linalg.Dot.
+func dot4(cols, x []float64) (s0, s1, s2, s3 float64) {
+	k := len(x)
+	c0, c1, c2, c3 := cols[:k], cols[k:2*k], cols[2*k:3*k], cols[3*k:4*k]
+	c1, c2, c3 = c1[:k], c2[:k], c3[:k] // lets the compiler drop bounds checks
+	for i, v := range x {
+		s0 += c0[i] * v
+		s1 += c1[i] * v
+		s2 += c2[i] * v
+		s3 += c3[i] * v
+	}
+	return s0, s1, s2, s3
 }
 
 // VisitRows streams the rows in order, assembling each from the column
 // blocks. Row access is the slow direction of this layout; it exists to
-// satisfy the Design contract (column-norm passes, subset views), not for
-// hot loops.
+// satisfy the Design contract (subset views, copies), not for hot loops.
 func (c *ColMajor) VisitRows(fn func(k int, row []float64)) {
 	row := make([]float64, c.cols)
 	for k := 0; k < c.rows; k++ {

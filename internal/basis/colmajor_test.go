@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/linalg"
 )
 
 // randomDense builds a dense design over a quadratic basis with seeded
@@ -100,4 +102,102 @@ func TestColMajorColSliceBoundsPanic(t *testing.T) {
 		}
 	}()
 	cm.ColSlice(cm.Cols())
+}
+
+// randomMatrixDesign returns a k×m dense design of seeded normal entries,
+// every seventh one an exact zero.
+func randomMatrixDesign(k, m int, seed int64) *DenseDesign {
+	r := rand.New(rand.NewSource(seed))
+	g := linalg.NewMatrix(k, m)
+	for i := range g.Data {
+		if i%7 != 3 {
+			g.Data[i] = r.NormFloat64()
+		}
+	}
+	return DenseDesignFromMatrix(g)
+}
+
+// TestMulTransVecRangeTiledBitIdentical holds the 4-column tiled kernel to a
+// plain linalg.Dot per column, bit for bit. M = 517 spans three storage
+// blocks and is not a multiple of 4. For K ∈ {1, 3} every range [lo, hi) is
+// swept — every odd lo and hi, every block crossing; for K = 500 the ranges
+// start and end around the block boundaries. Entries outside the range
+// must stay untouched.
+func TestMulTransVecRangeTiledBitIdentical(t *testing.T) {
+	const m = 517
+	edges := []int{0, 1, 2, 3, 5, 8, 251, 253, 255, 256, 257, 259, 260, 509, 511, 512, 513, 515, 516, 517}
+	for _, k := range []int{1, 3, 500} {
+		cm := NewColMajor(randomMatrixDesign(k, m, int64(k)))
+		r := rand.New(rand.NewSource(int64(k) + 1))
+		x := make([]float64, k)
+		for i := range x {
+			x[i] = r.NormFloat64()
+		}
+		x[0] = 0
+		want := make([]float64, m)
+		for j := range want {
+			want[j] = linalg.Dot(cm.ColSlice(j), x)
+		}
+		var los, his []int
+		if k < 500 {
+			for i := 0; i <= m; i++ {
+				los, his = append(los, i), append(his, i)
+			}
+		} else {
+			los, his = edges, edges
+		}
+		dst := make([]float64, m)
+		sentinel := math.Float64frombits(0x7ff8dead)
+		for _, lo := range los {
+			for _, hi := range his {
+				if lo >= hi {
+					continue
+				}
+				if lo > 0 {
+					dst[lo-1] = sentinel
+				}
+				if hi < m {
+					dst[hi] = sentinel
+				}
+				cm.MulTransVecRange(dst, x, lo, hi)
+				for j := lo; j < hi; j++ {
+					if math.Float64bits(dst[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("K=%d [%d,%d): dst[%d] = %.17g, want %.17g", k, lo, hi, j, dst[j], want[j])
+					}
+				}
+				if (lo > 0 && math.Float64bits(dst[lo-1]) != 0x7ff8dead) || (hi < m && math.Float64bits(dst[hi]) != 0x7ff8dead) {
+					t.Fatalf("K=%d [%d,%d): wrote outside the range", k, lo, hi)
+				}
+			}
+		}
+	}
+}
+
+// TestSquaredColumnNormsColumnPathBitIdentical holds the contiguous-column
+// norms of a ColMajor design, bare and under a row mask, to the
+// row-streaming pass over the same rows.
+func TestSquaredColumnNormsColumnPathBitIdentical(t *testing.T) {
+	for _, k := range []int{1, 3, 500} {
+		d := randomMatrixDesign(k, 517, int64(k)+2)
+		cm := NewColMajor(d)
+		keep := make([]bool, k)
+		for i := range keep {
+			keep[i] = i%5 != 2
+		}
+		for _, c := range []struct {
+			name        string
+			fast, rowed Design
+		}{
+			{"colmajor", cm, d},
+			{"masked", MaskRows(cm, keep), MaskRows(d, keep)},
+		} {
+			got := SquaredColumnNorms(c.fast, nil)
+			want := SquaredColumnNorms(c.rowed, nil)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("K=%d %s: norm²[%d] = %.17g, want %.17g", k, c.name, j, got[j], want[j])
+				}
+			}
+		}
+	}
 }

@@ -116,6 +116,27 @@ func BenchmarkFitPathOMP(b *testing.B)  { benchFitPath(b, &OMP{}) }
 func BenchmarkFitPathLAR(b *testing.B)  { benchFitPath(b, &LAR{}) }
 func BenchmarkFitPathSTAR(b *testing.B) { benchFitPath(b, &STAR{}) }
 
+// BenchmarkCrossValidate times one served fit job's solver work at the
+// repository benchmark's fit-cv shape: 5-fold cross-validation plus the
+// final refit, λ ≤ 30, on the same K×M problem. B/op pins the ≤ 25 MB CV
+// allocation target.
+func BenchmarkCrossValidate(b *testing.B) {
+	d, f := fitBenchProblem(b)
+	for _, c := range []struct {
+		name   string
+		fitter PathFitter
+	}{{"omp", &OMP{}}, {"lar", &LAR{}}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := CrossValidate(c.fitter, d, f, 5, 30); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCorrelateSweep isolates the engine's Gᵀ·x kernel on the same
 // K×M problem: the serial column-major sweep against the goroutine-sharded
 // parallel one (GOMAXPROCS workers). On a single-core host the two coincide;

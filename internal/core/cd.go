@@ -94,8 +94,9 @@ func (c *CD) FitLambda(d basis.Design, f []float64, mu float64) (*Model, error) 
 	if mu < 0 {
 		return nil, fmt.Errorf("core: CD penalty μ=%g must be non-negative", mu)
 	}
+	f = maskedResponse(d, f)
 	st := newCDState(d, f, ResolveFitWorkers(0))
-	st.l2 = c.L2 / float64(d.Rows())
+	st.l2 = c.L2 / float64(st.n)
 	if err := st.solve(nil, mu, c.sweeps(), c.tol()); err != nil {
 		return nil, err
 	}
@@ -114,14 +115,15 @@ func (c *CD) FitPathCtx(fc *FitContext, d basis.Design, f []float64, maxLambda i
 		return nil, err
 	}
 	k := d.Rows()
-	if maxLambda > k {
-		maxLambda = k
+	f = maskedResponse(d, f)
+	st := newCDState(d, f, fc.engine().Workers())
+	if maxLambda > st.n {
+		maxLambda = st.n
 	}
 	if maxLambda > d.Cols() {
 		maxLambda = d.Cols()
 	}
-	st := newCDState(d, f, fc.engine().Workers())
-	st.l2 = c.L2 / float64(d.Rows())
+	st.l2 = c.L2 / float64(st.n)
 	// μ_max: the smallest penalty at which every coefficient is zero. The
 	// correlator's first sweep validates the result for NaN/Inf, so a
 	// non-finite design or response entry surfaces here.
@@ -134,7 +136,7 @@ func (c *CD) FitPathCtx(fc *FitContext, d basis.Design, f []float64, maxLambda i
 		if st.z[j] == 0 {
 			continue
 		}
-		if a := math.Abs(v) / float64(k); a > muMax {
+		if a := math.Abs(v) / float64(st.n); a > muMax {
 			muMax = a
 		}
 	}
@@ -231,8 +233,8 @@ func (c *CD) FitPathCtx(fc *FitContext, d basis.Design, f []float64, maxLambda i
 type cdState struct {
 	d     basis.Design
 	corr  *Correlator // engine sweep kernel for the full-dictionary Gᵀ·x scans
-	k     int
-	l2    float64 // elastic-net ridge term, already scaled by 1/K
+	n     int         // sample count K: a fold's kept rows (basis.KeptRows)
+	l2    float64     // elastic-net ridge term, already scaled by 1/K
 	alpha []float64
 	res   []float64 // F − G·α
 	z     []float64 // (1/K)·‖G_j‖²
@@ -242,11 +244,11 @@ type cdState struct {
 }
 
 func newCDState(d basis.Design, f []float64, workers int) *cdState {
-	k := d.Rows()
+	n := basis.KeptRows(d)
 	st := &cdState{
 		d:     d,
 		corr:  newCorrelator(d, workers),
-		k:     k,
+		n:     n,
 		alpha: make([]float64, d.Cols()),
 		res:   linalg.Clone(f),
 		z:     make([]float64, d.Cols()),
@@ -254,7 +256,7 @@ func newCDState(d basis.Design, f []float64, workers int) *cdState {
 	}
 	basis.SquaredColumnNorms(d, st.z)
 	for j := range st.z {
-		st.z[j] /= float64(k)
+		st.z[j] /= float64(n)
 	}
 	return st
 }
@@ -272,7 +274,7 @@ func (st *cdState) column(j int) []float64 {
 // start, polling fc once per sweep.
 func (st *cdState) solve(fc *FitContext, mu float64, maxSweeps int, tol float64) error {
 	m := len(st.alpha)
-	kf := float64(st.k)
+	kf := float64(st.n)
 	corr := make([]float64, m)
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		if err := fc.Err(); err != nil {

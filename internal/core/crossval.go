@@ -9,8 +9,9 @@ import (
 )
 
 // subsetDesign exposes a row subset of an underlying design without copying
-// it, by scattering/gathering through the row index map. It lets the
-// cross-validation folds reuse lazy paper-scale designs.
+// it, by scattering/gathering through the row index map. It lets callers
+// fit a prefix or sample of a lazy paper-scale design; cross-validation
+// folds use basis.MaskRows instead.
 type subsetDesign struct {
 	d    basis.Design
 	rows []int
@@ -66,15 +67,6 @@ func Subset(d basis.Design, rows []int) basis.Design {
 	return &subsetDesign{d: d, rows: rows}
 }
 
-// gather copies f at the given rows.
-func gather(f []float64, rows []int) []float64 {
-	out := make([]float64, len(rows))
-	for i, r := range rows {
-		out[i] = f[r]
-	}
-	return out
-}
-
 // CVResult reports a cross-validated sparse fit (Section IV-C, Fig. 2).
 type CVResult struct {
 	// ErrCurve[λ-1] is the cross-validation error ε(λ) averaged over folds.
@@ -116,51 +108,41 @@ func CrossValidateCtx(ctx context.Context, fitter PathFitter, d basis.Design, f 
 		FoldErr:  make([][]float64, folds),
 	}
 	counts := make([]int, maxLambda)
-	// One engine for the whole cross-validation: every fold fit and the final
-	// refit run sequentially, so they share a single set of correlation and
-	// residual buffers instead of allocating Q+1 of them.
+	// One engine and one design for the whole cross-validation: every fold
+	// fit and the final refit run sequentially on the same column-major
+	// copy (when the size policy allows one), sharing a single set of
+	// correlation and residual buffers instead of allocating Q+1 of them.
 	eng := NewEngine(FitWorkersFromContext(ctx))
+	if cm := columnMajor(d); cm != nil {
+		d = cm
+	}
+	keep := make([]bool, k)
 	for q := 0; q < folds; q++ {
-		var trainRows, testRows []int
-		for i := 0; i < k; i++ {
-			if i%folds == q {
+		var testRows []int
+		for i := range keep {
+			keep[i] = i%folds != q
+			if !keep[i] {
 				testRows = append(testRows, i)
-			} else {
-				trainRows = append(trainRows, i)
 			}
 		}
-		trainD := Subset(d, trainRows)
-		testD := Subset(d, testRows)
-		trainF := gather(f, trainRows)
-		testF := gather(f, testRows)
-
-		// Fold fits run on row subsets, so an exact checkpoint does not apply
+		// The fold is a row mask over d, not a copy: held-out rows read as
+		// zero and the kept rows stay ascending, so the fit equals a fit on
+		// the kept rows alone (see basis.MaskedDesign).
+		//
+		// Fold fits run on row masks, so an exact checkpoint does not apply
 		// (its rows are the full data set) and a capture plan must not race
 		// across folds — scrub both. A warm start survives: replay is valid
 		// on any data and the folds are the bulk of a refine's speedup.
 		foldCtx := WithFitStage(WithCheckpointPlan(WithResumeCheckpoint(ctx, nil), nil), fmt.Sprintf("cv-fold-%d", q))
-		path, err := fitPathWithEngine(foldCtx, eng, fitter, trainD, trainF, maxLambda)
+		path, err := fitPathWithEngine(foldCtx, eng, fitter, basis.MaskRows(d, keep), f, maxLambda)
 		if err != nil {
 			return nil, fmt.Errorf("core: cross-validation fold %d: %w", q, err)
 		}
-		// Score every path model in ONE streaming pass over the held-out
-		// rows: each row is evaluated once and dotted with every model's
-		// sparse coefficients. Per-model Predict calls would materialize
-		// each support column separately — O(λ²) column evaluations per
-		// fold, which is prohibitive on regenerating designs.
-		preds := make([][]float64, path.Len())
-		for i := range preds {
-			preds[i] = make([]float64, len(testRows))
+		preds := scoreHeldOut(path, d, testRows)
+		testF := make([]float64, len(testRows))
+		for t, r := range testRows {
+			testF[t] = f[r]
 		}
-		testD.VisitRows(func(k int, row []float64) {
-			for mi, model := range path.Models {
-				s := 0.0
-				for i, idx := range model.Support {
-					s += model.Coef[i] * row[idx]
-				}
-				preds[mi][k] = s
-			}
-		})
 		foldErr := make([]float64, maxLambda)
 		for lam := 1; lam <= maxLambda; lam++ {
 			// Paths may terminate early; reuse the last available model.
@@ -199,4 +181,45 @@ func CrossValidateCtx(ctx context.Context, fitter PathFitter, d basis.Design, f 
 	}
 	result.Model = path.Models[idx]
 	return result, nil
+}
+
+// scoreHeldOut evaluates every path model at the held-out rows:
+// preds[mi][t] = Σᵢ coefᵢ·G[testRows[t]][supportᵢ], summed in support order.
+// A column-major design is read from its support columns; any other design
+// is streamed once, each held-out row dotted with every model's sparse
+// coefficients — per-model Predict calls would materialize each support
+// column separately, O(λ²) column evaluations per fold, which is
+// prohibitive on regenerating designs.
+func scoreHeldOut(path *Path, d basis.Design, testRows []int) [][]float64 {
+	preds := make([][]float64, path.Len())
+	for mi := range preds {
+		preds[mi] = make([]float64, len(testRows))
+	}
+	if cm, ok := d.(*basis.ColMajor); ok {
+		for mi, model := range path.Models {
+			for t, r := range testRows {
+				s := 0.0
+				for i, idx := range model.Support {
+					s += model.Coef[i] * cm.ColSlice(idx)[r]
+				}
+				preds[mi][t] = s
+			}
+		}
+		return preds
+	}
+	t := 0
+	d.VisitRows(func(k int, row []float64) {
+		if t == len(testRows) || testRows[t] != k {
+			return
+		}
+		for mi, model := range path.Models {
+			s := 0.0
+			for i, idx := range model.Support {
+				s += model.Coef[i] * row[idx]
+			}
+			preds[mi][t] = s
+		}
+		t++
+	})
+	return preds
 }

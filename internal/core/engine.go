@@ -114,14 +114,48 @@ func (e *Engine) columnBuf(k int) []float64 {
 	return e.colBuf
 }
 
+// columnMajor is the engine's one materialization policy: it returns d
+// itself when d is already *basis.ColMajor, a fresh column-major copy when
+// correlateParallelMin ≤ K·M ≤ colMajorizeMax, and nil otherwise (tiny
+// designs sweep faster in place; huge ones must never be copied). The
+// tiled column-major sweep beats row-major MulTransVec even on one worker,
+// so the worker count plays no part. CrossValidateCtx calls it once and
+// shares the copy across every fold and the final refit; newCorrelator
+// calls it for a standalone fit.
+func columnMajor(d basis.Design) *basis.ColMajor {
+	if cm, ok := d.(*basis.ColMajor); ok {
+		return cm
+	}
+	if size := d.Rows() * d.Cols(); size >= correlateParallelMin && size <= colMajorizeMax {
+		return basis.NewColMajor(d)
+	}
+	return nil
+}
+
+// maskedResponse returns f as a fit on d sees it: for a row-masked design,
+// a copy with the held-out rows zeroed. Every vector the engine derives
+// from it — residuals, LAR's equiangular vector — is then zero on the
+// held-out rows too, which is what lets a fold sweep the unmasked design.
+func maskedResponse(d basis.Design, f []float64) []float64 {
+	if md, ok := d.(*basis.MaskedDesign); ok {
+		return md.MaskVec(nil, f)
+	}
+	return f
+}
+
 // Correlator is the engine's Gᵀ·x kernel — the dominant cost of every path
 // iteration (eq. 18). When the design is (or can affordably be copied into)
 // column-major blocked storage, the sweep shards contiguous column ranges
-// across workers goroutines; each worker computes plain per-column dot
+// across workers goroutines; each worker computes tiled per-column dot
 // products into its disjoint slice of dst, so the parallel sweep is
 // bit-identical to the serial one. Below correlateParallelMin, or when the
 // design stays in its own representation, the sweep runs serially through
 // the design's MulTransVec.
+//
+// A row-masked design (a cross-validation fold) is swept through its
+// unmasked inner design: the engine only ever sweeps vectors that are zero
+// on the held-out rows (see maskedResponse), so the held-out rows add
+// nothing and the fold shares the inner design's column-major copy.
 type Correlator struct {
 	d       basis.Design
 	cm      *basis.ColMajor
@@ -132,18 +166,10 @@ type Correlator struct {
 // newCorrelator builds the kernel for d. workers is the effective goroutine
 // count (≥ 1).
 func newCorrelator(d basis.Design, workers int) *Correlator {
-	c := &Correlator{d: d, workers: workers}
-	if cm, ok := d.(*basis.ColMajor); ok {
-		c.cm = cm
-		return c
+	if md, ok := d.(*basis.MaskedDesign); ok {
+		d = md.Unmasked()
 	}
-	size := d.Rows() * d.Cols()
-	if workers > 1 && size >= correlateParallelMin && size <= colMajorizeMax {
-		// One row-streaming materialization pass, amortized over the λ (or
-		// λ·folds) sweeps of the path fit it serves.
-		c.cm = basis.NewColMajor(d)
-	}
-	return c
+	return &Correlator{d: d, cm: columnMajor(d), workers: workers}
 }
 
 // Apply computes dst = Gᵀ·x (allocating dst when nil). The first sweep of a
@@ -231,6 +257,9 @@ type ActiveSet struct {
 
 	corr *Correlator
 	k, m int
+	// n is the number of samples the fit learns from: K, or a fold's kept
+	// rows (basis.KeptRows). Sample-count rules use n; buffers use k.
+	n int
 
 	f     []float64
 	fNorm float64
@@ -257,19 +286,20 @@ func newActiveSet(fc *FitContext, d basis.Design, f []float64, maxLambda int, cf
 		return nil, err
 	}
 	eng := fc.engine()
-	k, m := d.Rows(), d.Cols()
+	k, m, n := d.Rows(), d.Cols(), basis.KeptRows(d)
 	if maxLambda > m {
 		maxLambda = m
 	}
-	if cfg.clampRows && maxLambda > k {
+	if cfg.clampRows && maxLambda > n {
 		// Selecting more bases than samples would make the LS re-fit
 		// underdetermined; Algorithm 1 implicitly requires λ ≤ K.
-		maxLambda = k
+		maxLambda = n
 	}
+	f = maskedResponse(d, f)
 	as := &ActiveSet{
 		cfg: cfg, d: d, fc: fc, eng: eng,
 		corr: newCorrelator(d, eng.Workers()),
-		k:    k, m: m,
+		k:    k, m: m, n: n,
 		f:     f,
 		fNorm: linalg.Norm2(f),
 		res:   eng.resBuf(k),
@@ -284,8 +314,8 @@ func newActiveSet(fc *FitContext, d basis.Design, f []float64, maxLambda int, cf
 		as.chol = linalg.NewCholesky()
 	}
 	if cfg.normalize {
-		// One row-streaming pass — a per-column loop would cost M full
-		// column materializations, prohibitive on lazy/generated designs.
+		// One pass over the design — never M column materializations,
+		// which are prohibitive on lazy/generated designs.
 		as.norms = basis.SquaredColumnNorms(d, nil)
 		for j, n := range as.norms {
 			if n <= 0 {

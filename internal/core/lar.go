@@ -218,16 +218,29 @@ func (l *LAR) FitPathCtx(fc *FitContext, d basis.Design, f []float64, maxLambda 
 }
 
 // refitOnSupport solves the unpenalized least-squares problem restricted to
-// the given support columns.
+// the given support columns. A row-masked design is solved on its kept rows
+// alone: zero rows would change the factorization's pivots.
 func refitOnSupport(d basis.Design, f []float64, support []int) ([]float64, error) {
-	k := d.Rows()
-	g := linalg.NewMatrix(k, len(support))
-	col := make([]float64, k)
+	rows := make([]int, 0, basis.KeptRows(d))
+	md, masked := d.(*basis.MaskedDesign)
+	for r := 0; r < d.Rows(); r++ {
+		if !masked || md.Kept(r) {
+			rows = append(rows, r)
+		}
+	}
+	g := linalg.NewMatrix(len(rows), len(support))
+	col := make([]float64, d.Rows())
 	for i, idx := range support {
 		d.Column(col, idx)
-		g.SetCol(i, col)
+		for ri, r := range rows {
+			g.Set(ri, i, col[r])
+		}
 	}
-	return linalg.SolveLeastSquares(g, f)
+	rhs := make([]float64, len(rows))
+	for ri, r := range rows {
+		rhs[ri] = f[r]
+	}
+	return linalg.SolveLeastSquares(g, rhs)
 }
 
 var _ ContextFitter = (*LAR)(nil)

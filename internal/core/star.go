@@ -83,8 +83,10 @@ func (s *STAR) FitPathCtx(fc *FitContext, d basis.Design, f []float64, maxLambda
 			return path, nil // residual uncorrelated with every remaining basis
 		}
 		// Coefficient straight from the inner-product estimator (eq. 18):
-		// α_s = (1/K)·G_sᵀ·Res — no re-fit, so no Gram bookkeeping.
-		alpha := xi[sel] / float64(as.k)
+		// α_s = (1/K)·G_sᵀ·Res — no re-fit, so no Gram bookkeeping. K is
+		// the sample count n, which a cross-validation fold makes its
+		// kept rows.
+		alpha := xi[sel] / float64(as.n)
 		col := as.AppendFree(sel)
 		linalg.Axpy(-alpha, col, as.res)
 

@@ -101,9 +101,10 @@ func (s *StOMP) FitPathCtx(fc *FitContext, d basis.Design, f []float64, maxLambd
 		}
 		// Admission threshold: t·σ where σ = ‖res‖/√K estimates the
 		// residual noise scale (correlations of pure-noise columns are
-		// ≈ σ·√K ⇒ compare |ξ|/K against t·σ/√K, i.e. |ξ| against t·σ·√K).
-		sigma := linalg.Norm2(as.res) / math.Sqrt(float64(as.k))
-		thresh := s.threshold() * sigma * math.Sqrt(float64(as.k))
+		// ≈ σ·√K ⇒ compare |ξ|/K against t·σ/√K, i.e. |ξ| against t·σ·√K),
+		// with K the sample count n.
+		sigma := linalg.Norm2(as.res) / math.Sqrt(float64(as.n))
+		thresh := s.threshold() * sigma * math.Sqrt(float64(as.n))
 		var cands []stompCand
 		for j, v := range xi {
 			if as.active[j] || as.excluded[j] {
